@@ -1,6 +1,7 @@
 #include "core/cli.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "telemetry/export.hpp"
-#include "workloads/runner.hpp"
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
 #include "core/correlate.hpp"
@@ -32,7 +32,6 @@
 #include "query/source.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
-#include "telemetry/run_result.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar::cli {
@@ -118,24 +117,13 @@ namespace {
 // and usage() renders these same rows, so the tables cannot drift from
 // the behavior.
 
-constexpr FlagSpec kSimulateFlags[] = {
-    {"cluster", "NAME", "cluster model (default cloudlab)"},
-    {"workload", "NAME", "workload model (default sgemm)"},
-    {"runs", "N", "runs per GPU"},
-    {"reps", "N", "iteration/repetition override"},
-    {"coverage", "F", "fraction of nodes measured"},
-    {"power-limit", "W", "power cap override"},
-    {"out", "FILE", "write a results CSV"},
-    {"trace", "FILE", "write a Chrome trace"},
-    {"metrics", "FILE", "write a metrics dump"},
-};
-
 constexpr FlagSpec kRunFlags[] = {
     {"cluster", "NAME", "cluster model (default cloudlab)"},
     {"workload", "NAME", "workload model (default sgemm)"},
     {"runs", "N", "runs per GPU"},
     {"reps", "N", "iteration/repetition override"},
     {"coverage", "F", "fraction of nodes measured"},
+    {"power-limit", "W", "power cap override"},
     {"checkpoint", "DIR", "checkpoint/resume campaign state here"},
     {"shard-budget", "BYTES[K|M|G]|unlimited",
      "in-memory frame budget before spilling"},
@@ -145,6 +133,8 @@ constexpr FlagSpec kRunFlags[] = {
     {"report", "FILE.md", "write a markdown report"},
     {"summary", "FILE", "write a campaign summary"},
     {"title", "T", "report title"},
+    {"trace", "FILE", "write a Chrome trace"},
+    {"metrics", "FILE", "write a metrics dump"},
 };
 
 constexpr FlagSpec kAnalyzeFlags[] = {
@@ -193,8 +183,10 @@ struct ParsedArgs {
     const auto it = options.find(key);
     if (it == options.end()) return fallback;
     double v = 0.0;
-    GPUVAR_REQUIRE_MSG(parse_double(it->second, v),
-                       "not a number: '" + it->second + "' for --" + key);
+    if (!parse_double(it->second, v)) {
+      throw std::invalid_argument("--" + key + " must be a number, got '" +
+                                  it->second + "'");
+    }
     return v;
   }
 };
@@ -294,75 +286,6 @@ int cmd_workloads(const ParsedArgs&, std::ostream& out) {
   return 0;
 }
 
-int cmd_simulate(const ParsedArgs& args, std::ostream& out) {
-  // Observability sinks go in before the cluster is built so fault
-  // injections during construction land in the trace too.
-  const std::string trace_path = args.get("trace", "");
-  const std::string metrics_path = args.get("metrics", "");
-  obs::TraceSink sink;
-  obs::Registry registry;
-  std::optional<obs::ScopedTrace> trace_guard;
-  std::optional<obs::ScopedMetrics> metrics_guard;
-  if (!trace_path.empty()) trace_guard.emplace(&sink);
-  if (!metrics_path.empty()) metrics_guard.emplace(&registry);
-  obs::LaneScope campaign_lane(0, "campaign");
-
-  const std::string cluster_name = args.get("cluster", "cloudlab");
-  std::string workload_name = args.get("workload", "sgemm");
-  Cluster cluster(cluster_by_name(cluster_name));
-  if (workload_name == "sgemm" && cluster.sku().vendor == Vendor::kAmd) {
-    workload_name = "sgemm-amd";
-  }
-  const int reps = static_cast<int>(args.get_num("reps", 0));
-  auto workload = workload_by_name(workload_name, reps);
-
-  ExperimentConfig cfg = default_config(
-      cluster, workload, static_cast<int>(args.get_num("runs", 2)));
-  cfg.node_coverage = args.get_num("coverage", 1.0);
-  cfg.run_options.power_limit_override = Watts{args.get_num("power-limit", 0.0)};
-
-  out << "simulating " << workload.name << " on " << cluster.name() << " ("
-      << cluster.size() << " GPUs)...\n";
-  const auto result = run_experiment(cluster, cfg);
-  print_section(out, "variability");
-  print_variability_table(out, analyze_variability(result.frame));
-
-  if (!trace_path.empty()) {
-    std::ofstream file(trace_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + trace_path);
-    obs::write_chrome_trace(file, sink);
-    out << "trace: " << sink.event_count() << " events across "
-        << sink.lane_count() << " lanes -> " << trace_path << "\n";
-  }
-  if (!metrics_path.empty()) {
-    const auto snap = registry.snapshot();
-    std::ofstream file(metrics_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + metrics_path);
-    obs::write_metrics_text(file, snap);
-    out << "metrics: " << snap.size() << " series -> " << metrics_path
-        << "\n";
-  }
-
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    // Re-run per node to produce full result rows (all runs) for the CSV.
-    std::vector<GpuRunResult> rows;
-    for (int node = 0; node < cluster.node_count(); ++node) {
-      for (int run = 0; run < cfg.runs_per_gpu; ++run) {
-        for (auto& r :
-             run_on_node(cluster, node, workload, run, cfg.run_options)) {
-          rows.push_back(std::move(r));
-        }
-      }
-    }
-    std::ofstream file(out_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + out_path);
-    export_results_csv(file, cluster.name(), cluster.locations(), rows);
-    out << "wrote " << rows.size() << " rows to " << out_path << "\n";
-  }
-  return 0;
-}
-
 /// "out.csv" + job "day-3" -> "out-day-3.csv" (sweep artifact naming).
 std::string job_artifact_path(const std::string& path,
                               const std::string& job) {
@@ -411,26 +334,74 @@ void write_campaign_artifacts(const ParsedArgs& args, std::ostream& out,
   }
 }
 
+/// Rejects a flag value at the CLI boundary, naming the flag, what it
+/// must be, and the value it got.
+[[noreturn]] void bad_flag(const ParsedArgs& args, const std::string& key,
+                           const std::string& want) {
+  throw std::invalid_argument("--" + key + " must be " + want + ", got '" +
+                              args.get(key, "") + "'");
+}
+
+/// An integer flag of at least 1, or `fallback` when it is absent.
+int get_count(const ParsedArgs& args, const std::string& key, int fallback) {
+  if (!args.has(key)) return fallback;
+  long long v = 0;
+  if (!parse_int(args.get(key, ""), v) || v < 1 ||
+      v > std::numeric_limits<int>::max()) {
+    bad_flag(args, key, "an integer >= 1");
+  }
+  return static_cast<int>(v);
+}
+
 int cmd_run(const ParsedArgs& args, std::ostream& out) {
+  // Every flag value is checked before any work starts.
+  const int runs = get_count(args, "runs", 2);
+  const int reps = get_count(args, "reps", 0);
+  const double coverage = args.get_num("coverage", 1.0);
+  if (!(coverage >= 0.0 && coverage <= 1.0)) {
+    bad_flag(args, "coverage", "in [0, 1]");
+  }
+  const double power_limit = args.get_num("power-limit", 0.0);
+  const std::string sweep = args.get("sweep", "");
+  if (args.has("power-limit")) {
+    if (!(power_limit > 0.0)) bad_flag(args, "power-limit", "> 0");
+    if (sweep == "power") {
+      throw std::invalid_argument("--power-limit '" +
+                                  args.get("power-limit", "") +
+                                  "' conflicts with --sweep power, whose "
+                                  "jobs each set their own cap");
+    }
+  }
+
+  // Observability sinks go in before the cluster is built so fault
+  // injections during construction land in the trace too.
+  const std::string trace_path = args.get("trace", "");
+  const std::string metrics_path = args.get("metrics", "");
+  obs::TraceSink sink;
+  obs::Registry registry;
+  std::optional<obs::ScopedTrace> trace_guard;
+  std::optional<obs::ScopedMetrics> metrics_guard;
+  if (!trace_path.empty()) trace_guard.emplace(&sink);
+  if (!metrics_path.empty()) metrics_guard.emplace(&registry);
+  obs::LaneScope campaign_lane(0, "campaign");
+
   const std::string cluster_name = args.get("cluster", "cloudlab");
   std::string workload_name = args.get("workload", "sgemm");
   Cluster cluster(cluster_by_name(cluster_name));
   if (workload_name == "sgemm" && cluster.sku().vendor == Vendor::kAmd) {
     workload_name = "sgemm-amd";
   }
-  const int reps = static_cast<int>(args.get_num("reps", 0));
   auto workload = workload_by_name(workload_name, reps);
 
-  ExperimentConfig cfg = default_config(
-      cluster, workload, static_cast<int>(args.get_num("runs", 2)));
-  cfg.node_coverage = args.get_num("coverage", 1.0);
+  ExperimentConfig cfg = default_config(cluster, workload, runs);
+  cfg.node_coverage = coverage;
+  cfg.run_options.power_limit_override = Watts{power_limit};
 
   CampaignOptions options;
   options.checkpoint_dir = args.get("checkpoint", "");
   options.shard_budget_bytes =
       parse_byte_size(args.get("shard-budget", "unlimited"), "--shard-budget");
 
-  const std::string sweep = args.get("sweep", "");
   if (!sweep.empty()) {
     std::vector<CampaignJob> jobs;
     if (sweep == "day") {
@@ -472,26 +443,45 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
       out << "\n";
       write_campaign_artifacts(args, out, cluster.name(), r.result, r.name);
     }
-    return 0;
+  } else {
+    out << "campaign: " << workload.name << " on " << cluster.name() << " ("
+        << cluster.size() << " GPUs)\n";
+    const auto result = run_campaign(cluster, cfg, options);
+    out << "rows " << result.frame.size() << ", gpus "
+        << result.gpus_measured << ", nodes " << result.nodes_measured
+        << "\n";
+    if (result.stats.buckets_restored > 0) {
+      out << "resumed: " << result.stats.buckets_restored << " of "
+          << result.stats.buckets_total << " buckets restored, "
+          << result.stats.buckets_run << " run";
+      if (result.stats.buckets_rerun_stale > 0) {
+        out << " (" << result.stats.buckets_rerun_stale
+            << " stale shards re-run)";
+      }
+      out << "\n";
+    }
+    if (!result.frame.empty()) {
+      print_section(out, "variability");
+      print_variability_table(out, analyze_variability(result.frame));
+    }
+    write_campaign_artifacts(args, out, cluster.name(), result, "");
   }
 
-  out << "campaign: " << workload.name << " on " << cluster.name() << " ("
-      << cluster.size() << " GPUs)\n";
-  const auto result = run_campaign(cluster, cfg, options);
-  out << "rows " << result.frame.size() << ", gpus "
-      << result.gpus_measured << ", nodes " << result.nodes_measured
-      << "\n";
-  if (result.stats.buckets_restored > 0) {
-    out << "resumed: " << result.stats.buckets_restored << " of "
-        << result.stats.buckets_total << " buckets restored, "
-        << result.stats.buckets_run << " run";
-    if (result.stats.buckets_rerun_stale > 0) {
-      out << " (" << result.stats.buckets_rerun_stale
-          << " stale shards re-run)";
-    }
-    out << "\n";
+  if (!trace_path.empty()) {
+    std::ofstream file(trace_path);
+    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + trace_path);
+    obs::write_chrome_trace(file, sink);
+    out << "trace: " << sink.event_count() << " events across "
+        << sink.lane_count() << " lanes -> " << trace_path << "\n";
   }
-  write_campaign_artifacts(args, out, cluster.name(), result, "");
+  if (!metrics_path.empty()) {
+    const auto snap = registry.snapshot();
+    std::ofstream file(metrics_path);
+    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + metrics_path);
+    obs::write_metrics_text(file, snap);
+    out << "metrics: " << snap.size() << " series -> " << metrics_path
+        << "\n";
+  }
   return 0;
 }
 
@@ -503,7 +493,7 @@ int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
   print_section(out, "variability");
   print_variability_table(out, analyze_variability(frame));
   print_section(out, "correlations");
-  print_correlation_table(out, correlate_metrics(frame));
+  print_correlation_table(out, analyze_correlation(frame));
 
   const std::string group = args.get("group", "cabinet");
   const GroupBy g = group == "node"  ? GroupBy::kNode
@@ -520,7 +510,7 @@ int cmd_flag(const ParsedArgs& args, std::ostream& out) {
   FlagOptions opts;
   opts.slowdown_temp = Celsius{args.get_num("slowdown-temp", 1e9)};
   print_section(out, "operator early-warning report");
-  print_flags(out, flag_anomalies(frame, opts));
+  print_flags(out, analyze_flags(frame, opts));
   return 0;
 }
 
@@ -595,7 +585,7 @@ int cmd_compare(const ParsedArgs& args, std::ostream& out) {
                      "compare needs BEFORE.csv AFTER.csv");
   const auto before = load_frame(args.positional[0]);
   const auto after = load_frame(args.positional[1]);
-  print_comparison(out, compare_campaigns(before, after));
+  print_comparison(out, analyze_compare(before, after));
   return 0;
 }
 
@@ -779,9 +769,7 @@ constexpr CommandEntry kCommands[] = {
     {{"clusters", "", "list the built-in cluster models", {}}, cmd_clusters},
     {{"workloads", "", "list the built-in workload models", {}},
      cmd_workloads},
-    {{"simulate", "", "run one experiment and summarize it", kSimulateFlags},
-     cmd_simulate},
-    {{"run", "", "run a checkpointable campaign (sweeps, artifacts)",
+    {{"run", "", "run a campaign (checkpoints, sweeps, artifacts)",
       kRunFlags},
      cmd_run},
     {{"analyze", "FILE.csv", "variability + correlation report",

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -50,11 +49,5 @@ struct CompareOptions {
 CampaignComparison analyze_compare(const query::Source& before,
                                    const query::Source& after,
                                    const CompareOptions& options = {});
-
-/// Forwarding shim (one deprecation cycle): prefer analyze_compare.
-// gpuvar-lint: allow(analysis-signature)
-CampaignComparison compare_campaigns(const RecordFrame& before,
-                                     const RecordFrame& after,
-                                     const CompareOptions& options = {});
 
 }  // namespace gpuvar

@@ -23,7 +23,6 @@
 
 #include "common/units.hpp"
 namespace gpuvar { class Cluster; }  // was: #include "cluster/cluster.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -69,11 +68,6 @@ struct FlagOptions {
 /// dataset-backed source).
 FlagReport analyze_flags(const query::Source& source,
                          const FlagOptions& options = {});
-
-/// Forwarding shim (one deprecation cycle): prefer analyze_flags.
-// gpuvar-lint: allow(analysis-signature)
-FlagReport flag_anomalies(const RecordFrame& frame,
-                          const FlagOptions& options = {});
 
 /// Cross-experiment flagging: GPUs flagged in >= `min_experiments` of the
 /// reports become repeat offenders (returned sorted by severity).

@@ -45,10 +45,6 @@ struct VariabilityOptions {};
 VariabilityReport analyze_variability(const query::Source& source,
                                       const VariabilityOptions& options = {});
 
-/// Forwarding shim (one deprecation cycle): prefer the Source overload.
-// gpuvar-lint: allow(analysis-signature)
-VariabilityReport analyze_variability(const RecordFrame& frame);
-
 /// Grouping keys for breakdowns.
 enum class GroupBy { kCabinet, kRow, kColumn, kNode, kDayOfWeek };
 

@@ -8,46 +8,8 @@
 #include "gpu/timeseries.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
-#include "telemetry/run_result.hpp"
 
 namespace gpuvar {
-
-void export_results_csv(std::ostream& out, std::string_view cluster_name,
-                        std::span<const GpuLocation> locations,
-                        std::span<const GpuRunResult> results) {
-  CsvWriter csv(out);
-  csv.header({"cluster", "gpu", "node", "cabinet", "run", "perf_ms",
-              "freq_mhz_median", "freq_mhz_min", "freq_mhz_max",
-              "power_w_median", "power_w_min", "power_w_max",
-              "temp_c_median", "temp_c_min", "temp_c_max", "energy_j",
-              "fu_util", "dram_util", "mem_stall_frac", "exec_stall_frac"});
-  for (const auto& r : results) {
-    GPUVAR_REQUIRE_MSG(r.gpu_index < locations.size(),
-                       "result gpu_index outside the location table");
-    const GpuLocation& loc = locations[r.gpu_index];
-    csv.add(cluster_name)
-        .add(loc.name)
-        .add(static_cast<long long>(loc.node))
-        .add(static_cast<long long>(loc.cabinet))
-        .add(static_cast<long long>(r.run_index))
-        .add(r.perf_ms)
-        .add(r.telemetry.freq.median)
-        .add(r.telemetry.freq.min)
-        .add(r.telemetry.freq.max)
-        .add(r.telemetry.power.median)
-        .add(r.telemetry.power.min)
-        .add(r.telemetry.power.max)
-        .add(r.telemetry.temp.median)
-        .add(r.telemetry.temp.min)
-        .add(r.telemetry.temp.max)
-        .add(r.telemetry.energy.value())
-        .add(r.counters.fu_util)
-        .add(r.counters.dram_util)
-        .add(r.counters.mem_stall_frac)
-        .add(r.counters.exec_stall_frac);
-    csv.end_row();
-  }
-}
 
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame) {

@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+
+#include "test_paths.hpp"
 
 namespace gpuvar::cli {
 namespace {
@@ -23,14 +26,26 @@ int run(const std::vector<std::string>& args, std::string* out_text = nullptr,
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    csv_path_ = std::filesystem::temp_directory_path() /
-                "gpuvar_cli_test_results.csv";
-    std::filesystem::remove(csv_path_);
+    dir_ = unique_temp_path("cli");
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    csv_path_ = dir_ / "results.csv";
   }
-  void TearDown() override { std::filesystem::remove(csv_path_); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  /// A file name inside this test's private scratch directory.
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  std::filesystem::path dir_;
   std::filesystem::path csv_path_;
 };
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 TEST_F(CliTest, NoArgsPrintsUsage) {
   std::string err;
@@ -61,9 +76,9 @@ TEST_F(CliTest, FactoriesRejectUnknownNames) {
   EXPECT_EQ(workload_by_name("bert").iterations, 250);
 }
 
-TEST_F(CliTest, SimulateAnalyzeFlagProjectPipeline) {
+TEST_F(CliTest, RunAnalyzeFlagProjectPipeline) {
   std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
+  EXPECT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
                  "--reps", "5", "--runs", "2", "--out", csv_path_.string()},
                 &out),
             0);
@@ -85,7 +100,7 @@ TEST_F(CliTest, SimulateAnalyzeFlagProjectPipeline) {
 
 TEST_F(CliTest, ReportCompareDriftPipeline) {
   std::string out;
-  ASSERT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
+  ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
                  "--reps", "4", "--runs", "3", "--out", csv_path_.string()},
                 &out),
             0);
@@ -108,7 +123,7 @@ TEST_F(CliTest, ReportCompareDriftPipeline) {
 
 TEST_F(CliTest, DriftWithoutHistoryFailsGracefully) {
   std::string out;
-  ASSERT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
+  ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
                  "--reps", "3", "--runs", "1", "--out", csv_path_.string()},
                 &out),
             0);
@@ -125,7 +140,7 @@ TEST_F(CliTest, AnalyzeMissingFileFailsGracefully) {
 
 TEST_F(CliTest, ProjectRequiresTarget) {
   std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload",
+  EXPECT_EQ(run({"run", "--cluster", "cloudlab", "--workload",
                  "pagerank", "--reps", "4", "--out", csv_path_.string()},
                 &out),
             0);
@@ -135,22 +150,133 @@ TEST_F(CliTest, ProjectRequiresTarget) {
 
 TEST_F(CliTest, MissingOptionValueFails) {
   std::string err;
-  EXPECT_EQ(run({"simulate", "--cluster"}, nullptr, &err), 1);
+  EXPECT_EQ(run({"run", "--cluster"}, nullptr, &err), 1);
   EXPECT_NE(err.find("missing value"), std::string::npos);
 }
 
 // Byte-budget grammar and overflow tests live in test_bytesize.cpp,
 // next to the shared parse_byte_size every budget flag routes through.
 
-TEST_F(CliTest, SimulateSwitchesToAmdGemmOnCorona) {
-  // Simulating SGEMM on corona must pick the 24576 AMD input size without
+TEST_F(CliTest, RunSwitchesToAmdGemmOnCorona) {
+  // Running SGEMM on corona must pick the 24576 AMD input size without
   // the caller knowing about it. We verify via a tiny coverage run.
   std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "corona", "--workload", "sgemm",
+  EXPECT_EQ(run({"run", "--cluster", "corona", "--workload", "sgemm",
                  "--reps", "3", "--runs", "1", "--coverage", "0.05"},
                 &out),
             0);
-  EXPECT_NE(out.find("simulating sgemm on corona"), std::string::npos);
+  EXPECT_NE(out.find("campaign: sgemm on corona"), std::string::npos);
+}
+
+// ---- run: flag validation at the CLI boundary -------------------------
+// Each bad value is refused with a message naming the flag and the
+// value, before the campaign banner prints (no work starts).
+
+void expect_refused(const std::vector<std::string>& args,
+                    const std::string& flag, const std::string& value) {
+  std::string out, err;
+  EXPECT_EQ(run(args, &out, &err), 1);
+  EXPECT_NE(err.find(flag), std::string::npos) << err;
+  EXPECT_NE(err.find("'" + value + "'"), std::string::npos) << err;
+  EXPECT_EQ(err.find("precondition failed"), std::string::npos) << err;
+  EXPECT_EQ(out.find("campaign:"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, RunRejectsRunsBelowOne) {
+  expect_refused({"run", "--runs", "0"}, "--runs", "0");
+  expect_refused({"run", "--runs", "-3"}, "--runs", "-3");
+  expect_refused({"run", "--runs", "1.5"}, "--runs", "1.5");
+}
+
+TEST_F(CliTest, RunRejectsCoverageOutsideUnitInterval) {
+  expect_refused({"run", "--coverage", "2"}, "--coverage", "2");
+  expect_refused({"run", "--coverage", "-0.1"}, "--coverage", "-0.1");
+  expect_refused({"run", "--coverage", "nan"}, "--coverage", "nan");
+}
+
+TEST_F(CliTest, RunRejectsRepsBelowOne) {
+  expect_refused({"run", "--reps", "-5"}, "--reps", "-5");
+  expect_refused({"run", "--reps", "0"}, "--reps", "0");
+}
+
+TEST_F(CliTest, RunRejectsNonPositivePowerLimit) {
+  expect_refused({"run", "--power-limit", "-10"}, "--power-limit", "-10");
+  expect_refused({"run", "--power-limit", "0"}, "--power-limit", "0");
+  // The sweep sets each job's cap; a global cap would be overwritten.
+  std::string out, err;
+  EXPECT_EQ(run({"run", "--power-limit", "200", "--sweep", "power",
+                 "--power-caps", "150,250"},
+                &out, &err),
+            1);
+  EXPECT_NE(err.find("--power-limit '200'"), std::string::npos) << err;
+  EXPECT_NE(err.find("--sweep power"), std::string::npos) << err;
+  EXPECT_EQ(out.find("sweep:"), std::string::npos) << out;
+}
+
+// ---- run: observability and artifacts ---------------------------------
+
+TEST_F(CliTest, RunTraceAndMetricsAreReproducible) {
+  const std::vector<std::string> base = {"run", "--cluster", "cloudlab",
+                                         "--reps", "3", "--runs", "2"};
+  for (const char* tag : {"a", "b"}) {
+    auto args = base;
+    args.insert(args.end(), {"--trace", path(std::string("trace-") + tag),
+                             "--metrics",
+                             path(std::string("metrics-") + tag)});
+    std::string out;
+    ASSERT_EQ(run(args, &out), 0);
+    EXPECT_NE(out.find("trace: "), std::string::npos);
+    EXPECT_NE(out.find("metrics: "), std::string::npos);
+  }
+  const std::string trace = slurp(path("trace-a"));
+  const std::string metrics = slurp(path("metrics-a"));
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(metrics.find("counter experiment.node_jobs "), std::string::npos);
+  EXPECT_EQ(trace, slurp(path("trace-b")));
+  EXPECT_EQ(metrics, slurp(path("metrics-b")));
+}
+
+TEST_F(CliTest, RunArtifactsUnchangedByTraceAndMetrics) {
+  // Observability is a side channel: the results CSV, report and
+  // summary bytes must not depend on whether it was switched on.
+  const auto artifacts = [&](const std::string& tag, bool observe) {
+    std::vector<std::string> args = {
+        "run", "--cluster", "cloudlab", "--reps", "3", "--runs", "2",
+        "--out", path(tag + ".csv"), "--report", path(tag + ".md"),
+        "--summary", path(tag + ".sum")};
+    if (observe) {
+      args.insert(args.end(), {"--trace", path(tag + ".json"), "--metrics",
+                               path(tag + ".txt")});
+    }
+    EXPECT_EQ(run(args), 0);
+    return slurp(path(tag + ".csv")) + '\0' + slurp(path(tag + ".md")) +
+           '\0' + slurp(path(tag + ".sum"));
+  };
+  const std::string plain = artifacts("plain", false);
+  const std::string observed = artifacts("observed", true);
+  EXPECT_GT(plain.size(), 3u);
+  EXPECT_EQ(plain, observed);
+}
+
+TEST_F(CliTest, RunCoverageOutWritesThePrintedRows) {
+  // The CSV holds exactly the campaign the command reported on: the
+  // sampled half of the nodes, not a re-simulation of the whole cluster.
+  std::string out;
+  ASSERT_EQ(run({"run", "--cluster", "longhorn", "--reps", "3", "--runs",
+                 "1", "--coverage", "0.5", "--out", csv_path_.string()},
+                &out),
+            0);
+  const std::string marker = "rows ";
+  const std::size_t at = out.find(marker);
+  ASSERT_NE(at, std::string::npos) << out;
+  const long rows = std::stol(out.substr(at + marker.size()));
+  EXPECT_GT(rows, 0);
+  const std::string csv = slurp(csv_path_.string());
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), rows + 1)
+      << "header plus one line per printed row";
+  EXPECT_NE(out.find("wrote " + std::to_string(rows) + " rows"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

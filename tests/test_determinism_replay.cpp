@@ -10,8 +10,6 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
@@ -22,8 +20,7 @@
 #include "obs/trace.hpp"
 #include "telemetry/export.hpp"
 #include "cluster/cluster.hpp"
-#include "telemetry/run_result.hpp"
-#include "workloads/runner.hpp"
+#include "test_paths.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
@@ -31,16 +28,14 @@ namespace {
 
 struct CampaignArtifacts {
   std::string csv;
-  std::string frame_csv;
   std::string markdown;
   std::string trace_json;
   std::string metrics_text;
 };
 
 /// Runs the full campaign on a private pool of `threads` workers and
-/// renders every interchange artifact: the per-run results CSV (via the
-/// same pool-parallel per-node path the CLI uses), the markdown report
-/// over the experiment's records, and the observability exports (the
+/// renders every interchange artifact: the results CSV and the markdown
+/// report over the campaign's frame, and the observability exports (the
 /// Chrome trace and the metrics dump collected during the campaign).
 CampaignArtifacts run_campaign(std::size_t threads) {
   const Cluster cluster{cloudlab_spec()};
@@ -49,7 +44,7 @@ CampaignArtifacts run_campaign(std::size_t threads) {
   auto cfg = default_config(cluster, sgemm_workload(16384, 2), 2);
   cfg.pool = &pool;
 
-  // Trace + metrics ride along exactly as under `gpuvar simulate
+  // Trace + metrics ride along exactly as under `gpuvar run
   // --trace --metrics`: lanes are logical timelines on simulation
   // time, metric merges are commutative integers, so both exports
   // must be byte-identical at any pool size.
@@ -71,31 +66,12 @@ CampaignArtifacts run_campaign(std::size_t threads) {
   std::ostringstream md;
   write_markdown_report(md, result.frame, md_opts);
 
-  // Columnar artifact: the frame streamed out of the parallel
-  // FrameBuilder sink must serialize identically at any pool size.
-  std::ostringstream frame_csv;
-  export_frame_csv(frame_csv, cluster.name(), result.frame);
-
-  // CSV rows come from the raw per-run results; collect them in
-  // parallel with per-node buckets, concatenated in node order.
-  std::vector<std::vector<GpuRunResult>> buckets(
-      static_cast<std::size_t>(cluster.node_count()));
-  pool.parallel_for(buckets.size(), [&](std::size_t node) {
-    for (int run = 0; run < cfg.runs_per_gpu; ++run) {
-      for (auto& r : run_on_node(cluster, static_cast<int>(node),
-                                 cfg.workload, run, cfg.run_options)) {
-        buckets[node].push_back(std::move(r));
-      }
-    }
-  });
-  std::vector<GpuRunResult> rows;
-  for (auto& b : buckets) {
-    for (auto& r : b) rows.push_back(std::move(r));
-  }
+  // The frame streamed out of the parallel FrameBuilder sink (per-node
+  // buckets, concatenated in node order) must serialize identically at
+  // any pool size.
   std::ostringstream csv;
-  export_results_csv(csv, cluster.name(), cluster.locations(), rows);
-  return {csv.str(), frame_csv.str(), md.str(), trace_json.str(),
-          metrics_text.str()};
+  export_frame_csv(csv, cluster.name(), result.frame);
+  return {csv.str(), md.str(), trace_json.str(), metrics_text.str()};
 }
 
 TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
@@ -106,15 +82,11 @@ TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
   ASSERT_FALSE(one.csv.empty());
   ASSERT_FALSE(one.markdown.empty());
 
-  EXPECT_EQ(one.csv, four.csv) << "results CSV differs between 1 and 4 "
-                                  "threads: scheduling leaked into output";
-  EXPECT_EQ(one.csv, eight.csv) << "results CSV differs between 1 and 8 "
-                                   "threads: scheduling leaked into output";
-  EXPECT_EQ(one.frame_csv, four.frame_csv)
-      << "frame CSV differs between 1 and 4 threads: the FrameBuilder "
+  EXPECT_EQ(one.csv, four.csv)
+      << "results CSV differs between 1 and 4 threads: the FrameBuilder "
          "bucket merge leaked scheduling into the column order";
-  EXPECT_EQ(one.frame_csv, eight.frame_csv)
-      << "frame CSV differs between 1 and 8 threads: the FrameBuilder "
+  EXPECT_EQ(one.csv, eight.csv)
+      << "results CSV differs between 1 and 8 threads: the FrameBuilder "
          "bucket merge leaked scheduling into the column order";
   EXPECT_EQ(one.markdown, four.markdown)
       << "markdown report differs between 1 and 4 threads";
@@ -143,8 +115,7 @@ TEST(DeterminismReplay, SpillThresholdNeverChangesArtifactBytes) {
   // that spilled every bucket and one that spilled none produce the
   // same CSV, report, and summary bytes at every pool size.
   const Cluster cluster{cloudlab_spec()};
-  const auto spill_dir =
-      std::filesystem::path(::testing::TempDir()) / "gpuvar_replay_spill";
+  const auto spill_dir = unique_temp_path("replay_spill");
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     ThreadPool pool(threads);
@@ -187,7 +158,6 @@ TEST(DeterminismReplay, RepeatOnSamePoolIsIdentical) {
   const CampaignArtifacts a = run_campaign(4);
   const CampaignArtifacts b = run_campaign(4);
   EXPECT_EQ(a.csv, b.csv);
-  EXPECT_EQ(a.frame_csv, b.frame_csv);
   EXPECT_EQ(a.markdown, b.markdown);
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.metrics_text, b.metrics_text);

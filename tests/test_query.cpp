@@ -32,6 +32,7 @@
 #include "stats/boxplot.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/shard.hpp"
+#include "test_paths.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
@@ -149,7 +150,7 @@ std::string fp_all(const query::Source& s, int impact_width = 8) {
 class QueryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) / "gpuvar_query");
+    dir_ = new fs::path(unique_temp_path("query"));
     fs::remove_all(*dir_);
     fs::create_directories(*dir_);
     const Cluster cluster{cloudlab_spec()};

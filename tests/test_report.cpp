@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (RecordFrame -> Source)
 #include "telemetry/frame.hpp"
 #include "cluster/faults.hpp"
 #include "core/correlate.hpp"
@@ -54,7 +55,7 @@ TEST(Report, VariabilityTableShowsAllMetrics) {
 
 TEST(Report, CorrelationTableShowsAllPairs) {
   std::ostringstream out;
-  print_correlation_table(out, correlate_metrics(sample_records()));
+  print_correlation_table(out, analyze_correlation(sample_records()));
   const std::string text = out.str();
   EXPECT_NE(text.find("rho(performance"), std::string::npos);
   EXPECT_NE(text.find("rho(power"), std::string::npos);

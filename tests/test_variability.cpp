@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "query/source.hpp"  // IWYU pragma: keep (RecordFrame -> Source)
 #include "telemetry/frame.hpp"
 #include "cluster/faults.hpp"
 #include "telemetry/record.hpp"

@@ -245,7 +245,8 @@ const std::vector<RuleInfo>& rules() {
   // Strictness notes: unknown-rule is structurally strict (a
   // suppression must never hide a typo'd suppression);
   // row-record-param graduated to strict once the last
-  // deprecation-cycle row adapters were deleted — an allow() on it now
+  // deprecation-cycle row adapters were deleted, and analysis-signature
+  // once the last forwarding shims were — an allow() on either now
   // marks a dead grace period, not an exemption.
   static const std::vector<RuleInfo> kRules = {
       {"alloc-in-hot-loop", "hotpath",
@@ -253,7 +254,7 @@ const std::vector<RuleInfo>& rules() {
       {"analysis-signature", "analysis",
        "analysis entry point in a core header off the unified "
        "analyze_*(source, const ...Options&) shape, or a deprecated "
-       "pre-redesign spelling kept outside an allow()'d shim", false},
+       "pre-redesign spelling", true},
       {"bare-assert", "style",
        "assert() in library code; use GPUVAR_CHECK so release builds "
        "keep the invariant", false},

@@ -10,10 +10,11 @@
 //                        takes its tunables as one trailing options
 //                        struct — analyze_*(source, options) — so call
 //                        sites never grow positional parameter lists.
-//                        Forwarding shims from the one-cycle
-//                        deprecation window carry inline allow()s; when
-//                        the cycle ends they are deleted and the rule
-//                        joins the strict list (like row-record-param).
+//                        The rule is strict (core.cpp rules()): the
+//                        deprecation cycle ended with the forwarding
+//                        shims' deletion, so an allow() no longer
+//                        silences it — a legacy spelling reappearing
+//                        is a regression, not a grace period.
 //
 // Helper functions (correlate_pair, job_impact, estimate_run_noise_ms)
 // are not entry points and are not matched: the rule targets the
@@ -110,9 +111,8 @@ void run_analysis_pass(const Repo& repo, std::vector<Finding>& findings) {
             {f.rel, t.line, "analysis-signature",
              "deprecated analysis entry point '" + t.text +
                  "': the unified surface is analyze_*(source, const "
-                 "...Options&). Forwarding shims may keep the old "
-                 "spelling for one deprecation cycle behind an inline "
-                 "allow()",
+                 "...Options&). The deprecation cycle is over — this "
+                 "rule is strict and an allow() does not silence it",
              t.text});
       } else if (!ends_with_options_param(f.code, open, close)) {
         findings.push_back(

@@ -5,6 +5,10 @@
 #
 #   tools/ci.sh                run everything
 #   tools/ci.sh build          plain build + ctest (includes lint)
+#   tools/ci.sh ctest-parallel the full ctest suite three times at
+#                              -j$(nproc): every gtest case is its own
+#                              process, so a scratch path shared between
+#                              cases shows up here as a flaky failure
 #   tools/ci.sh asan           AddressSanitizer + UBSan job
 #   tools/ci.sh tsan           ThreadSanitizer job (ThreadPool-heavy tests)
 #   tools/ci.sh analyzer       full gpuvar-analyzer run; archives the JSON
@@ -19,7 +23,7 @@
 #                              the committed bench/BENCH_*.json reference
 #                              at a ~2x tolerance
 #   tools/ci.sh obs-smoke      end-to-end observability check: a small
-#                              `gpuvar simulate --trace --metrics` campaign,
+#                              `gpuvar run --trace --metrics` campaign,
 #                              JSON validation, artifacts archived under
 #                              build-ci/
 #   tools/ci.sh resume-smoke   kill-and-resume check of the campaign
@@ -63,6 +67,17 @@ job_build() {
   echo "=== job: build (GPUVAR_WERROR=ON) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   configure_and_test build-ci
+}
+
+job_ctest_parallel() {
+  echo "=== job: ctest-parallel (full suite, 3 passes at -j$JOBS) ==="
+  cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
+  local pass
+  for pass in 1 2 3; do
+    echo "--- pass $pass of 3 ---"
+    configure_and_test build-ci
+  done
+  echo "ctest-parallel: 3 parallel passes green"
 }
 
 job_asan() {
@@ -230,7 +245,7 @@ job_obs_smoke() {
   echo "=== job: obs-smoke (CLI --trace/--metrics end to end) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_cli
-  ./build-ci/tools/gpuvar simulate --cluster cloudlab --workload sgemm \
+  ./build-ci/tools/gpuvar run --cluster cloudlab --workload sgemm \
     --reps 4 --runs 2 \
     --trace build-ci/OBS_trace.json --metrics build-ci/OBS_metrics.txt
   # The trace must be well-formed Chrome trace-event JSON and the dump
@@ -406,6 +421,7 @@ job_thread_safety() {
 
 case "${1:-all}" in
   build) job_build ;;
+  ctest-parallel) job_ctest_parallel ;;
   asan) job_asan ;;
   tsan) job_tsan ;;
   analyzer) job_analyzer ;;
@@ -418,6 +434,7 @@ case "${1:-all}" in
   thread-safety) job_thread_safety ;;
   all)
     job_build
+    job_ctest_parallel
     job_analyzer
     job_bench_smoke
     job_bench_guard
@@ -431,7 +448,7 @@ case "${1:-all}" in
     echo "=== all CI jobs passed ==="
     ;;
   *)
-    echo "usage: tools/ci.sh [build|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|simd-matrix|thread-safety|all]" >&2
+    echo "usage: tools/ci.sh [build|ctest-parallel|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|simd-matrix|thread-safety|all]" >&2
     exit 2
     ;;
 esac

@@ -4,6 +4,8 @@
 //   2. analyze_* whose options struct is not the last parameter
 //   3. analyze_* taking its options by value
 //   4. a deprecated pre-redesign entry-point spelling
+//   5. a deprecated spelling behind an allow(): the rule is strict, so
+//      the suppression must not silence it
 // Decoys that must NOT fire: the unified declarations at the bottom, a
 // helper that is not an entry point, and mentions of flag_anomalies in
 // comments like this one.
@@ -25,11 +27,15 @@ DriftReport analyze_drift_window(const Source& source, int window,
 DriftReport analyze_drift_reordered(const DriftOptions& options,
                                     const Source& source);
 
-// BAD: options are taken by const reference, not by value.
+// BAD: options taken by value; they must be taken by const reference.
 DriftReport analyze_drift_byvalue(const Source& source, DriftOptions options);
 
 // BAD: deprecated spelling; the unified surface is analyze_*.
 DriftReport detect_performance_drift(const Source& source);
+
+// BAD: a forwarding shim's allow() no longer exempts a legacy spelling.
+// gpuvar-lint: allow(analysis-signature)
+DriftReport compare_campaigns(const Source& source);
 
 // GOOD: the unified shape, with and without a default argument.
 DriftReport analyze_drift(const Source& source,
