@@ -50,6 +50,32 @@ void BM_DeviceTick(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceTick);
 
+void BM_SgemmBackToBack(benchmark::State& state) {
+  // The shape of one GPU's run in a campaign: a fresh device and
+  // sampler, then 100 SGEMMs with 4 ms launch gaps, ticking at the
+  // control period with fast-forward on and telemetry summarized.
+  const auto sku = make_v100_sxm2();
+  const SiliconSample chip;
+  SimOptions opts;
+  opts.tick = sku.dvfs_control_period;
+  const auto k = make_sgemm_kernel(25536);
+  const Seconds gap{0.004};
+  for (auto _ : state) {
+    SimulatedGpu dev(sku, chip, ThermalParams{0.1, 80.0, Celsius{28.0}}, opts);
+    Sampler sampler;
+    for (int i = 0; i < 100; ++i) {
+      const auto r = dev.run_kernel(k, &sampler);
+      benchmark::DoNotOptimize(r.duration.value());
+      dev.idle_for(gap, &sampler);
+    }
+    benchmark::DoNotOptimize(sampler.summary().freq.median);
+  }
+  state.counters["kernels_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 100.0,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SgemmBackToBack)->Unit(benchmark::kMicrosecond);
+
 void BM_ClusterConstruction(benchmark::State& state) {
   for (auto _ : state) {
     Cluster cluster(longhorn_spec());

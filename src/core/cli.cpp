@@ -323,7 +323,13 @@ void write_campaign_artifacts(const ParsedArgs& args, std::ostream& out,
   if (!report_path.empty()) {
     MarkdownReportOptions opts;
     opts.title = args.get("title", "Variability campaign report");
-    write_markdown_report(report_file, result.frame, opts);
+    if (result.frame.empty()) {
+      // Nothing to analyze (e.g. --coverage 0): say so, the way --out
+      // writes a header-only CSV and --summary a "rows 0" summary.
+      report_file << "# " << markdown_escape(opts.title) << "\n\n0 runs.\n";
+    } else {
+      write_markdown_report(report_file, result.frame, opts);
+    }
     out << "report -> " << report_path << "\n";
   }
   std::ofstream summary_file;
@@ -353,6 +359,26 @@ int get_count(const ParsedArgs& args, const std::string& key, int fallback) {
   return static_cast<int>(v);
 }
 
+/// The --power-caps list: comma-separated watts, each > 0.
+std::vector<double> parse_power_caps(const std::string& text) {
+  std::vector<double> caps;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item = text.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    double w = 0.0;
+    if (!parse_double(item, w) || !(w > 0.0)) {
+      throw std::invalid_argument("--power-caps items must be watts > 0, got '" +
+                                  item + "'");
+    }
+    caps.push_back(w);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return caps;
+}
+
 int cmd_run(const ParsedArgs& args, std::ostream& out) {
   // Every flag value is checked before any work starts.
   const int runs = get_count(args, "runs", 2);
@@ -371,6 +397,20 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
                                   "' conflicts with --sweep power, whose "
                                   "jobs each set their own cap");
     }
+  }
+  std::vector<double> caps;
+  if (sweep == "power") {
+    if (!args.has("power-caps")) {
+      throw std::invalid_argument("--sweep power needs --power-caps W1,W2,...");
+    }
+    caps = parse_power_caps(args.get("power-caps", ""));
+  } else if (args.has("power-caps")) {
+    throw std::invalid_argument("--power-caps '" + args.get("power-caps", "") +
+                                "' needs --sweep power");
+  }
+  if (!sweep.empty() && sweep != "day" && sweep != "power") {
+    throw std::invalid_argument("unknown --sweep '" + sweep +
+                                "', try day or power");
   }
 
   // Observability sinks go in before the cluster is built so fault
@@ -406,29 +446,8 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
     std::vector<CampaignJob> jobs;
     if (sweep == "day") {
       jobs = day_of_week_sweep(cfg);
-    } else if (sweep == "power") {
-      std::vector<double> caps;
-      const std::string caps_text = args.get("power-caps", "");
-      GPUVAR_REQUIRE_MSG(!caps_text.empty(),
-                         "--sweep power needs --power-caps W1,W2,...");
-      std::size_t start = 0;
-      while (start <= caps_text.size()) {
-        const std::size_t comma = caps_text.find(',', start);
-        const std::string item =
-            caps_text.substr(start, comma == std::string::npos
-                                        ? std::string::npos
-                                        : comma - start);
-        double w = 0.0;
-        GPUVAR_REQUIRE_MSG(parse_double(item, w),
-                           "bad power cap '" + item + "' in --power-caps");
-        caps.push_back(w);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      jobs = power_cap_sweep(cfg, caps);
     } else {
-      throw std::invalid_argument("unknown --sweep '" + sweep +
-                                  "', try day or power");
+      jobs = power_cap_sweep(cfg, caps);
     }
     out << "sweep: " << jobs.size() << " campaigns of " << workload.name
         << " on " << cluster.name() << "\n";
@@ -607,8 +626,10 @@ query::Predicate parse_predicate(const std::string& text) {
         text.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
     const std::size_t eq = term.find('=');
-    GPUVAR_REQUIRE_MSG(eq != std::string::npos,
-                       "bad --where term '" + term + "' (want FIELD=LO..HI)");
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("bad --where term '" + term +
+                                  "' (want FIELD=LO..HI)");
+    }
     const std::string field = term.substr(0, eq);
     const std::string range = term.substr(eq + 1);
     query::FieldRange* r = nullptr;
@@ -618,13 +639,17 @@ query::Predicate parse_predicate(const std::string& text) {
     if (field == "cabinet") r = &where.cabinet;
     if (field == "row") r = &where.row;
     if (field == "col") r = &where.column;
-    GPUVAR_REQUIRE_MSG(r != nullptr,
-                       "unknown --where field '" + field +
-                           "', try one of node, gpu, day, cabinet, row, col");
+    if (r == nullptr) {
+      throw std::invalid_argument(
+          "unknown --where field '" + field +
+          "', try one of node, gpu, day, cabinet, row, col");
+    }
     const auto bound = [&](const std::string& s) {
       long long v = 0;
-      GPUVAR_REQUIRE_MSG(parse_int(s, v),
-                         "bad --where range '" + range + "' for " + field);
+      if (!parse_int(s, v)) {
+        throw std::invalid_argument("bad --where range '" + range +
+                                    "' for " + field);
+      }
       return static_cast<std::int64_t>(v);
     };
     const std::size_t dots = range.find("..");

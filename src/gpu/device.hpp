@@ -102,8 +102,9 @@ class SimulatedGpu : public PmIntrospection {
   Celsius baseline_inlet() const { return baseline_inlet_; }
 
  private:
-  /// Solve the thermal/leakage fixed point at a fixed operating point.
-  Celsius equilibrium_temperature(MegaHertz f, double activity) const;
+  /// Solve the thermal/leakage fixed point at a fixed operating point,
+  /// given its dynamic power.
+  Celsius equilibrium_temperature(Watts dynamic) const;
   bool stable_at(MegaHertz f, Watts power, Celsius temp) const;
 
   GpuSku sku_;

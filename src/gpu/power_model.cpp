@@ -25,7 +25,11 @@ Watts PowerModel::leakage_power(Celsius t) const {
 }
 
 Watts PowerModel::total_power(MegaHertz f, double activity, Celsius t) const {
-  return dynamic_power(f, activity) + leakage_power(t) + sku_->idle_power;
+  return total_power(dynamic_power(f, activity), t);
+}
+
+Watts PowerModel::total_power(Watts dynamic, Celsius t) const {
+  return dynamic + leakage_power(t) + sku_->idle_power;
 }
 
 Watts PowerModel::idle_power(Celsius t) const {

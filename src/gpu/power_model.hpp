@@ -30,6 +30,11 @@ class PowerModel {
   /// Total board power.
   Watts total_power(MegaHertz f, double activity, Celsius t) const;
 
+  /// Total board power for an already computed dynamic power: the one
+  /// place the sum `dynamic + leakage(t) + idle` is written, so a caller
+  /// that reuses dynamic_power() across ticks gets the same bits.
+  Watts total_power(Watts dynamic, Celsius t) const;
+
   /// Idle board power (activity 0) at temperature t.
   Watts idle_power(Celsius t) const;
 

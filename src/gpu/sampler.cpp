@@ -13,9 +13,7 @@ StreamingQuantile::StreamingQuantile(double lo, double hi, double resolution)
     : lo_(lo), resolution_(resolution) {
   GPUVAR_REQUIRE(hi > lo);
   GPUVAR_REQUIRE(resolution > 0.0);
-  const auto bins = static_cast<std::size_t>(
-      std::ceil((hi - lo) / resolution));
-  weights_.assign(bins + 1, 0.0);
+  bins_ = static_cast<std::size_t>(std::ceil((hi - lo) / resolution)) + 1;
 }
 
 void StreamingQuantile::add(double value, double weight) {
@@ -28,9 +26,18 @@ void StreamingQuantile::add(double value, double weight) {
     max_ = std::max(max_, value);
   }
   auto idx = static_cast<long long>(std::floor((value - lo_) / resolution_));
-  idx = std::clamp<long long>(idx, 0,
-                              static_cast<long long>(weights_.size()) - 1);
-  weights_[static_cast<std::size_t>(idx)] += weight;
+  idx = std::clamp<long long>(idx, 0, static_cast<long long>(bins_) - 1);
+  const auto bin = static_cast<std::size_t>(idx);
+  if (weights_.empty()) {
+    base_ = bin;
+    weights_.push_back(0.0);
+  } else if (bin < base_) {
+    weights_.insert(weights_.begin(), base_ - bin, 0.0);
+    base_ = bin;
+  } else if (bin - base_ >= weights_.size()) {
+    weights_.resize(bin - base_ + 1, 0.0);
+  }
+  weights_[bin - base_] += weight;
   total_weight_ += weight;
   weighted_sum_ += value * weight;
 }
@@ -44,16 +51,20 @@ double StreamingQuantile::quantile(double q) const {
   GPUVAR_REQUIRE(!empty());
   GPUVAR_REQUIRE(q >= 0.0 && q <= 1.0);
   const double target = q * total_weight_;
+  // Over the whole grid the running sum is +0.0 until the span starts
+  // and stays flat after it ends, so scanning the span alone finds the
+  // same bin — except that a zero target is met at grid bin 0.
+  if (target <= 0.0) return std::clamp(center(0), min_, max_);
   double acc = 0.0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     acc += weights_[i];
-    if (acc >= target) {
-      const double center =
-          lo_ + (static_cast<double>(i) + 0.5) * resolution_;
-      return std::clamp(center, min_, max_);
-    }
+    if (acc >= target) return std::clamp(center(base_ + i), min_, max_);
   }
   return max_;
+}
+
+double StreamingQuantile::center(std::size_t bin) const {
+  return lo_ + (static_cast<double>(bin) + 0.5) * resolution_;
 }
 
 Sampler::Sampler(const SamplerOptions& opts)

@@ -25,7 +25,10 @@
 
 namespace gpuvar {
 
-/// Weighted streaming quantile estimator over a fixed grid.
+/// Weighted streaming quantile estimator over a fixed grid. Only the
+/// contiguous span of bins that add() has touched is stored: a run
+/// touches a narrow band of the grid, and a bin outside the span holds
+/// zero weight, which quantile() accounts for without storing it.
 class StreamingQuantile {
  public:
   StreamingQuantile(double lo, double hi, double resolution);
@@ -42,8 +45,13 @@ class StreamingQuantile {
   double median() const { return quantile(0.5); }
 
  private:
+  /// Value at the middle of grid bin `bin`.
+  double center(std::size_t bin) const;
+
   double lo_, resolution_;
-  std::vector<double> weights_;
+  std::size_t bins_;  ///< grid size; values outside clamp to the ends
+  std::size_t base_ = 0;  ///< grid index of weights_[0]
+  std::vector<double> weights_;  ///< bins [base_, base_ + size())
   double total_weight_ = 0.0;
   double weighted_sum_ = 0.0;
   double min_ = 0.0, max_ = 0.0;

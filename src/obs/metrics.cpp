@@ -53,9 +53,6 @@ Histogram::Snapshot Histogram::snapshot() const {
 
 namespace {
 
-std::atomic<Registry*> g_metrics{nullptr};
-std::atomic<std::uint64_t> g_metrics_epoch{0};
-
 template <class Map, class Metric>
 Metric& find_or_create(Map& map, std::string_view name) {
   auto it = map.find(name);
@@ -105,15 +102,9 @@ std::size_t Registry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-Registry* metrics() { return g_metrics.load(std::memory_order_acquire); }
-
-std::uint64_t metrics_epoch() {
-  return g_metrics_epoch.load(std::memory_order_acquire);
-}
-
 void install_metrics(Registry* registry) {
-  g_metrics_epoch.fetch_add(1, std::memory_order_acq_rel);
-  g_metrics.store(registry, std::memory_order_release);
+  detail::g_metrics_epoch.fetch_add(1, std::memory_order_acq_rel);
+  detail::g_metrics.store(registry, std::memory_order_release);
 }
 
 }  // namespace gpuvar::obs

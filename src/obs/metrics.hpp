@@ -174,13 +174,25 @@ class Registry {
       GPUVAR_GUARDED_BY(mu_);
 };
 
+namespace detail {
+// Defined here, not in metrics.cpp, so that the accessors below inline
+// into every call site: with no registry installed, a GPUVAR_METRIC_*
+// on the simulator's per-tick path is one load and a branch, not a call.
+inline std::atomic<Registry*> g_metrics{nullptr};
+inline std::atomic<std::uint64_t> g_metrics_epoch{0};
+}  // namespace detail
+
 /// The installed registry, or nullptr (the macro fast path). Same
 /// install discipline as the trace sink: never concurrently with
 /// instrumented code.
-Registry* metrics();
+inline Registry* metrics() {
+  return detail::g_metrics.load(std::memory_order_acquire);
+}
 /// Bumped on every install; lets per-callsite handles cache a Counter*
 /// and revalidate with one integer compare.
-std::uint64_t metrics_epoch();
+inline std::uint64_t metrics_epoch() {
+  return detail::g_metrics_epoch.load(std::memory_order_acquire);
+}
 void install_metrics(Registry* registry);
 
 /// Per-callsite counter cache behind GPUVAR_METRIC_COUNT/ADD: resolves

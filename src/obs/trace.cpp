@@ -7,7 +7,6 @@ namespace gpuvar::obs {
 namespace {
 
 std::atomic<TraceSink*> g_trace{nullptr};
-thread_local TraceLane* t_current_lane = nullptr;
 
 }  // namespace
 
@@ -48,17 +47,15 @@ void install_trace(TraceSink* sink) {
   g_trace.store(sink, std::memory_order_release);
 }
 
-TraceLane* current_lane() { return t_current_lane; }
-
 LaneScope::LaneScope(std::uint32_t id, std::string_view label)
-    : prev_(t_current_lane) {
+    : prev_(detail::t_current_lane) {
   if (TraceSink* sink = trace()) {
-    t_current_lane = &sink->lane(id, label);
+    detail::t_current_lane = &sink->lane(id, label);
   } else {
-    t_current_lane = nullptr;
+    detail::t_current_lane = nullptr;
   }
 }
 
-LaneScope::~LaneScope() { t_current_lane = prev_; }
+LaneScope::~LaneScope() { detail::t_current_lane = prev_; }
 
 }  // namespace gpuvar::obs

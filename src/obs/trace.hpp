@@ -125,8 +125,15 @@ class TraceSink {
 TraceSink* trace();
 void install_trace(TraceSink* sink);
 
+namespace detail {
+// Defined here so current_lane() inlines: with tracing off, the
+// GPUVAR_TRACE_* macros on the simulator's per-tick path are one
+// thread-local load and a branch, not a call.
+inline thread_local TraceLane* t_current_lane = nullptr;
+}  // namespace detail
+
 /// The lane the calling thread currently owns, or nullptr.
-TraceLane* current_lane();
+inline TraceLane* current_lane() { return detail::t_current_lane; }
 
 /// RAII adoption of a lane for the current thread (and task). No-op —
 /// no allocation, no lock — when no sink is installed. Nests: the

@@ -26,9 +26,14 @@ void ThermalModel::step(Seconds dt, Watts p) {
   GPUVAR_METRIC_COUNT("thermal.rc_steps");
   // Exact solution of the linear ODE over dt (unconditionally stable,
   // exact for constant p): T(t+dt) = Teq + (T - Teq)·exp(-dt/τ).
+  // τ is fixed after construction, and the simulator steps at one or
+  // two distinct dt values, so exp(-dt/τ) is cached for the last dt.
   const Celsius teq = equilibrium(p);
-  const double decay = std::exp(-(dt / time_constant()));
-  temp_ = teq + (temp_ - teq) * decay;
+  if (dt != decay_dt_) {
+    decay_dt_ = dt;
+    decay_ = std::exp(-(dt / time_constant()));
+  }
+  temp_ = teq + (temp_ - teq) * decay_;
   GPUVAR_ASSERT(temp_ > kAbsoluteZero);
 }
 

@@ -50,6 +50,10 @@ class ThermalModel {
  private:
   ThermalParams params_;
   Celsius temp_;
+  // step()'s decay memo: exp(-decay_dt_/τ). No dt is negative, so the
+  // first step always computes it.
+  Seconds decay_dt_{-1.0};
+  double decay_ = 0.0;
 };
 
 }  // namespace gpuvar

@@ -8,6 +8,9 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "test_paths.hpp"
 
@@ -213,6 +216,51 @@ TEST_F(CliTest, RunRejectsNonPositivePowerLimit) {
   EXPECT_EQ(out.find("sweep:"), std::string::npos) << out;
 }
 
+TEST_F(CliTest, RunRejectsPowerCapsWithoutPowerSweep) {
+  // A cap list outside a power sweep would be silently dropped.
+  expect_refused({"run", "--power-caps", "150,250"}, "--power-caps",
+                 "150,250");
+  expect_refused({"run", "--sweep", "day", "--power-caps", "200"},
+                 "--power-caps", "200");
+}
+
+TEST_F(CliTest, RunRejectsNonPositivePowerCaps) {
+  for (const char* bad : {"-5", "0", "abc", ""}) {
+    const std::string caps = std::string("150,") + bad;
+    std::string out, err;
+    EXPECT_EQ(run({"run", "--sweep", "power", "--power-caps", caps}, &out,
+                  &err),
+              1)
+        << caps;
+    EXPECT_NE(err.find("--power-caps"), std::string::npos) << err;
+    EXPECT_NE(err.find("'" + std::string(bad) + "'"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("precondition failed"), std::string::npos) << err;
+    EXPECT_EQ(out.find("sweep:"), std::string::npos) << out;
+  }
+  std::string out, err;
+  EXPECT_EQ(run({"run", "--sweep", "power"}, &out, &err), 1);
+  EXPECT_NE(err.find("--power-caps"), std::string::npos) << err;
+  EXPECT_EQ(err.find("precondition failed"), std::string::npos) << err;
+}
+
+TEST_F(CliTest, QueryRejectsBadWhereWithoutInternalError) {
+  // The predicate is parsed before the store is opened, so a missing
+  // directory does not mask the --where message.
+  const std::string dir = path("no-store");
+  for (const auto& [where, want] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bogus=1", "unknown --where field 'bogus'"},
+           {"node", "bad --where term 'node'"},
+           {"node=x..3", "bad --where range 'x..3'"}}) {
+    std::string err;
+    EXPECT_EQ(run({"query", dir, "--where", where}, nullptr, &err), 1)
+        << where;
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+    EXPECT_EQ(err.find("precondition failed"), std::string::npos) << err;
+  }
+}
+
 // ---- run: observability and artifacts ---------------------------------
 
 TEST_F(CliTest, RunTraceAndMetricsAreReproducible) {
@@ -256,6 +304,22 @@ TEST_F(CliTest, RunArtifactsUnchangedByTraceAndMetrics) {
   const std::string observed = artifacts("observed", true);
   EXPECT_GT(plain.size(), 3u);
   EXPECT_EQ(plain, observed);
+}
+
+TEST_F(CliTest, RunCoverageZeroWritesEmptyArtifacts) {
+  // An empty campaign still gets every artifact it asked for: the
+  // report says there were no runs instead of failing on the empty
+  // frame after the banner.
+  std::string out, err;
+  ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--coverage", "0",
+                 "--out", path("empty.csv"), "--report", path("empty.md"),
+                 "--summary", path("empty.sum"), "--title", "nothing"},
+                &out, &err),
+            0)
+      << err;
+  EXPECT_EQ(slurp(path("empty.md")), "# nothing\n\n0 runs.\n");
+  EXPECT_NE(slurp(path("empty.sum")).find("rows 0\n"), std::string::npos);
+  EXPECT_NE(out.find("report -> "), std::string::npos) << out;
 }
 
 TEST_F(CliTest, RunCoverageOutWritesThePrintedRows) {

@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/shard.hpp"
+#include "test_paths.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
@@ -29,9 +30,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh per-test checkpoint directory under gtest's temp root.
+/// Fresh checkpoint directory private to this test process.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "gpuvar_engine" / name;
+  const fs::path dir = unique_temp_path("engine") / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -63,6 +64,9 @@ Artifacts render(const Cluster& cluster, const CampaignResult& result) {
 
 class EngineTest : public ::testing::Test {
  protected:
+  // The directories fresh_dir made live under one per-test root.
+  void TearDown() override { fs::remove_all(unique_temp_path("engine")); }
+
   ExperimentConfig config(int runs = 2) const {
     return default_config(cluster_, sgemm_workload(16384, 2), runs);
   }

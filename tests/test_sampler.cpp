@@ -1,7 +1,17 @@
 #include "gpu/sampler.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
 namespace gpuvar {
 namespace {
@@ -50,6 +60,124 @@ TEST(StreamingQuantile, ZeroWeightIgnored) {
   StreamingQuantile q(0.0, 1.0, 0.1);
   q.add(0.5, 0.0);
   EXPECT_TRUE(q.empty());
+}
+
+// ---- sparse span vs. the dense grid -----------------------------------
+// StreamingQuantile stores only the bins add() touched. This reference
+// keeps the whole zeroed grid and scans all of it, the way the
+// estimator is defined; every quantile must match it bit for bit.
+
+class DenseQuantile {
+ public:
+  DenseQuantile(double lo, double hi, double resolution)
+      : lo_(lo),
+        resolution_(resolution),
+        weights_(static_cast<std::size_t>(std::ceil((hi - lo) / resolution)) +
+                     1,
+                 0.0) {}
+
+  void add(double value, double weight) {
+    if (total_ == 0.0) {
+      min_ = max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    auto idx = static_cast<long long>(std::floor((value - lo_) / resolution_));
+    idx = std::clamp<long long>(idx, 0,
+                                static_cast<long long>(weights_.size()) - 1);
+    weights_[static_cast<std::size_t>(idx)] += weight;
+    total_ += weight;
+  }
+
+  double quantile(double q) const {
+    const double target = q * total_;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      acc += weights_[i];
+      if (acc >= target) {
+        const double center =
+            lo_ + (static_cast<double>(i) + 0.5) * resolution_;
+        return std::clamp(center, min_, max_);
+      }
+    }
+    return max_;
+  }
+
+ private:
+  double lo_, resolution_;
+  std::vector<double> weights_;
+  double total_ = 0.0;
+  double min_ = 0.0, max_ = 0.0;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Feeds both estimators the same (value, weight) stream, then compares
+/// quantiles at `qs` bit for bit.
+void expect_matches_dense(const std::vector<std::pair<double, double>>& adds,
+                          std::initializer_list<double> qs) {
+  StreamingQuantile sparse(0.0, 100.0, 0.5);
+  DenseQuantile dense(0.0, 100.0, 0.5);
+  for (const auto& [v, w] : adds) {
+    sparse.add(v, w);
+    dense.add(v, w);
+  }
+  for (double q : qs) {
+    EXPECT_EQ(bits(sparse.quantile(q)), bits(dense.quantile(q)))
+        << "q=" << q << ": sparse " << sparse.quantile(q) << " vs dense "
+        << dense.quantile(q);
+  }
+}
+
+TEST(StreamingQuantile, ClampedValuesMatchDenseGrid) {
+  // Below lo lands in bin 0, above hi in the last bin; min/max stay
+  // exact, so the clamped centers come back as the true extremes.
+  expect_matches_dense({{-7.0, 1.0}, {250.0, 2.0}, {50.0, 0.5}},
+                       {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
+  expect_matches_dense({{-1e9, 3.0}}, {0.0, 0.5, 1.0});
+  expect_matches_dense({{1e9, 3.0}}, {0.0, 0.5, 1.0});
+}
+
+TEST(StreamingQuantile, SpanGrowsLeftMatchesDenseGrid) {
+  // The first value pins the span's base; a later, smaller one must
+  // extend it to the left without moving any stored weight.
+  expect_matches_dense({{80.0, 1.0}, {20.0, 1.0}, {80.2, 2.0}, {5.0, 0.25}},
+                       {0.0, 0.1, 0.3, 0.5, 0.7, 1.0});
+  StreamingQuantile q(0.0, 100.0, 0.5);
+  q.add(80.0, 1.0);
+  q.add(20.0, 3.0);
+  EXPECT_DOUBLE_EQ(q.median(), 20.25);  // center of [20, 20.5)
+  EXPECT_DOUBLE_EQ(q.quantile(1.0), 80.0);
+}
+
+TEST(StreamingQuantile, ZeroHalfAndOneMatchDenseGrid) {
+  // q = 0 meets its zero target at grid bin 0, whatever the span;
+  // clamped to min it reads as the smallest value seen.
+  expect_matches_dense({{42.0, 1.0}}, {0.0, 0.5, 1.0});
+  expect_matches_dense({{42.0, 1.0}, {43.0, 1.0}, {60.0, 1.0}},
+                       {0.0, 0.5, 1.0});
+  StreamingQuantile q(0.0, 100.0, 0.5);
+  q.add(42.0, 1.0);
+  q.add(60.0, 1.0);
+  EXPECT_DOUBLE_EQ(q.quantile(0.0), 42.0);
+  EXPECT_DOUBLE_EQ(q.quantile(1.0), 60.0);
+}
+
+TEST(StreamingQuantile, RandomStreamsMatchDenseGrid) {
+  // Runs of small steps in both directions with occasional jumps
+  // outside the grid, like a DVFS trace with clamped outliers.
+  Rng rng(0x5A3, "sampler/sparse");
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::pair<double, double>> adds;
+    double v = rng.uniform(-10.0, 110.0);
+    for (int i = 0; i < 200; ++i) {
+      v += rng.uniform(-3.0, 3.0);
+      if (rng.uniform() < 0.02) v = rng.uniform(-50.0, 150.0);
+      adds.emplace_back(v, rng.uniform(1e-4, 1e-2));
+    }
+    expect_matches_dense(adds, {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0});
+  }
 }
 
 TEST(Sampler, SummaryAggregatesSpans) {

@@ -15,10 +15,10 @@
 #                              report and layering DOT under build-ci/
 #   tools/ci.sh bench-smoke    micro bench smoke run (frame column ops, CSV
 #                              export, shard codec, campaign engine, query
-#                              plane, stats kernels); archives
-#                              BENCH_frame.json, BENCH_engine.json,
-#                              BENCH_query.json, BENCH_analyzer.json and
-#                              BENCH_stats.json
+#                              plane, stats kernels, simulator tick loop);
+#                              archives BENCH_frame.json, BENCH_engine.json,
+#                              BENCH_query.json, BENCH_analyzer.json,
+#                              BENCH_stats.json and BENCH_sim.json
 #   tools/ci.sh bench-guard    rerun the micro benches and compare against
 #                              the committed bench/BENCH_*.json reference
 #                              at a ~2x tolerance
@@ -54,6 +54,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# The single-threaded simulator benches. BM_VortexSgemmCampaign runs on
+# the process-wide pool, so its time follows the host's core count and
+# cannot be held to a reference recorded elsewhere.
+SIM_BENCH_FILTER='BM_(SgemmKernelSim|DeviceTick|SgemmBackToBack|ClusterConstruction|MultiGpuResnetNode)'
 
 configure_and_test() {
   local dir="$1"
@@ -142,11 +147,12 @@ job_analyzer() {
 }
 
 job_bench_smoke() {
-  echo "=== job: bench-smoke (micro frame/engine/query/analyzer/stats benches) ==="
+  echo "=== job: bench-smoke (micro frame/engine/query/analyzer/stats/sim benches) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target micro_frame_bench \
     --target micro_engine_bench --target micro_query_bench \
-    --target micro_analyzer_bench --target micro_stats_bench
+    --target micro_analyzer_bench --target micro_stats_bench \
+    --target micro_sim_bench
   # Smoke cadence, not a tuned perf run: one repetition per benchmark,
   # JSON archived so regressions in the columnar data plane, the shard
   # codec / campaign engine, the streaming query plane, the analyzer's
@@ -166,11 +172,15 @@ job_bench_smoke() {
   ./build-ci/bench/micro_stats_bench \
     --benchmark_out=build-ci/BENCH_stats.json \
     --benchmark_out_format=json
+  ./build-ci/bench/micro_sim_bench --benchmark_filter="$SIM_BENCH_FILTER" \
+    --benchmark_out=build-ci/BENCH_sim.json \
+    --benchmark_out_format=json
   echo "frame bench report: build-ci/BENCH_frame.json"
   echo "engine bench report: build-ci/BENCH_engine.json"
   echo "query bench report: build-ci/BENCH_query.json"
   echo "analyzer bench report: build-ci/BENCH_analyzer.json"
   echo "stats bench report: build-ci/BENCH_stats.json"
+  echo "sim bench report: build-ci/BENCH_sim.json"
 }
 
 job_bench_guard() {
@@ -178,7 +188,8 @@ job_bench_guard() {
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target micro_frame_bench \
     --target micro_engine_bench --target micro_query_bench \
-    --target micro_analyzer_bench --target micro_stats_bench
+    --target micro_analyzer_bench --target micro_stats_bench \
+    --target micro_sim_bench
   if ! command -v python3 > /dev/null 2>&1; then
     echo "python3 unavailable; skipping bench comparison"
     return 0
@@ -198,6 +209,9 @@ job_bench_guard() {
   ./build-ci/bench/micro_stats_bench \
     --benchmark_out=build-ci/BENCH_stats.guard.json \
     --benchmark_out_format=json
+  ./build-ci/bench/micro_sim_bench --benchmark_filter="$SIM_BENCH_FILTER" \
+    --benchmark_out=build-ci/BENCH_sim.guard.json \
+    --benchmark_out_format=json
   # Coarse regression tripwire, not a tuned perf gate: a fresh run more
   # than ~2x slower than the committed reference on any benchmark fails.
   # CI hosts vary, so the tolerance is wide; refresh the reference with
@@ -207,7 +221,8 @@ job_bench_guard() {
     bench/BENCH_engine.json build-ci/BENCH_engine.guard.json \
     bench/BENCH_query.json build-ci/BENCH_query.guard.json \
     bench/BENCH_analyzer.json build-ci/BENCH_analyzer.guard.json \
-    bench/BENCH_stats.json build-ci/BENCH_stats.guard.json <<'EOF'
+    bench/BENCH_stats.json build-ci/BENCH_stats.guard.json \
+    bench/BENCH_sim.json build-ci/BENCH_sim.guard.json <<'EOF'
 import json
 import sys
 
